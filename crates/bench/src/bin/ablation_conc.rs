@@ -12,19 +12,15 @@
 //! cargo run --release -p getafix-bench --bin ablation_conc [-- --max-k K]
 //! ```
 
-use getafix_bench::run_fig3_config;
+use getafix_bench::{numeric_flag, or_exit_usage, run_fig3_config};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let max_k: usize = args
-        .iter()
-        .position(|a| a == "--max-k")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(5);
+    let max_k: usize =
+        or_exit_usage("ablation_conc", numeric_flag(&args, "--max-k", None)).unwrap_or(5);
 
     println!("E6 — global-copy economy of the §5 formulation (Bluetooth, 2 adders + 2 stoppers)\n");
-    let (merged, rows) = run_fig3_config(2, 2, max_k);
+    let (merged, rows) = run_fig3_config(2, 2, max_k, 1);
     let g = merged.cfg.globals.len();
     println!(
         "{:>3} {:>14} {:>14} {:>12} {:>12} {:>10}",

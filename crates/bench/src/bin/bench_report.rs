@@ -35,7 +35,11 @@
 //! strategy guard are bit-identical at any job count — only wall times
 //! change. The effective count is recorded as a top-level `jobs` field
 //! (the baseline comparison matches workloads by name/algorithm and
-//! ignores it).
+//! ignores it). Each solve itself runs on one thread.
+//!
+//! A malformed `--scale`, `--bits`, `--jobs`, `GETAFIX_JOBS`,
+//! `--timeout`, `GETAFIX_TIMEOUT` or `--max-wall-regress` (including a
+//! flag with no value) exits 2 before any work starts.
 //!
 //! The JSON is emitted through [`getafix_telemetry::json::JsonWriter`]
 //! (the workspace builds offline, without serde; the telemetry crate's
@@ -67,7 +71,11 @@
 //! `dead-baggage` workload asserts a *strict* reduction in both variables
 //! and re-evaluations on every run.
 
-use getafix_bench::{dead_baggage_cases, regression_cases, slam_cases, terminator_cases, SeqCase};
+use getafix_bench::parallel::{parallel_map, resolve_jobs};
+use getafix_bench::{
+    dead_baggage_cases, numeric_flag, or_exit_usage, regression_cases, slam_cases,
+    terminator_cases, SeqCase,
+};
 use getafix_boolprog::analysis::{slice, AnalysisOptions};
 use getafix_boolprog::{parse_concurrent, Cfg, Pc};
 use getafix_conc::{
@@ -75,12 +83,13 @@ use getafix_conc::{
     ConcError, ConcExplicitError, ConcLimits, Merged,
 };
 use getafix_core::{build_solver_with, check_reachability_with, Algorithm, AnalysisError};
-use getafix_mucalc::{
-    parallel_map, resolve_jobs, ResourceLimits, SolveError, SolveOptions, SolveStats, Strategy,
-};
+use getafix_mucalc::{ResourceLimits, SolveError, SolveOptions, SolveStats, Strategy};
 use getafix_telemetry::json::JsonWriter;
 use getafix_witness::{concurrent_witness_from, WitnessError};
 use std::time::Instant;
+
+/// The binary's name, prefixed to usage errors.
+const BIN: &str = "bench-report";
 
 fn flag_value(args: &[String], name: &str) -> Option<String> {
     args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned()
@@ -90,18 +99,15 @@ fn flag_value(args: &[String], name: &str) -> Option<String> {
 /// fallback `GETAFIX_TIMEOUT`). Every case receives a clone of the
 /// returned value, so the whole run shares one absolute deadline and one
 /// cancellation token: the first trip stops every in-flight solve.
-fn parse_limits(args: &[String]) -> ResourceLimits {
+fn parse_limits(args: &[String]) -> Result<ResourceLimits, String> {
     let mut limits = ResourceLimits::default();
-    let timeout = flag_value(args, "--timeout").or_else(|| std::env::var("GETAFIX_TIMEOUT").ok());
-    if let Some(s) = timeout {
-        let secs: f64 = s.trim().parse().unwrap_or_else(|e| panic!("--timeout: {e}"));
-        assert!(
-            secs.is_finite() && secs > 0.0,
-            "--timeout: the deadline must be a positive number of seconds"
-        );
+    if let Some(secs) = numeric_flag::<f64>(args, "--timeout", Some("GETAFIX_TIMEOUT"))? {
+        if !secs.is_finite() || secs <= 0.0 {
+            return Err("--timeout: the deadline must be a positive number of seconds".into());
+        }
         limits = limits.with_timeout(std::time::Duration::from_secs_f64(secs));
     }
-    limits
+    Ok(limits)
 }
 
 /// Terminates the run on a tripped resource limit with the documented
@@ -432,15 +438,19 @@ fn main() {
     let fig3_path = flag_value(&args, "--out-fig3").unwrap_or_else(|| "BENCH_fig3.json".into());
     let bdd_path = flag_value(&args, "--out-bdd").unwrap_or_else(|| "BENCH_bdd.json".into());
     let bdd_smoke = args.iter().any(|a| a == "--bdd-smoke");
-    let scale: usize = flag_value(&args, "--scale").and_then(|s| s.parse().ok()).unwrap_or(1);
-    let bits: usize = flag_value(&args, "--bits").and_then(|s| s.parse().ok()).unwrap_or(3);
-    let jobs: usize = resolve_jobs(
-        flag_value(&args, "--jobs")
-            .or_else(|| std::env::var("GETAFIX_JOBS").ok())
-            .and_then(|s| s.trim().parse().ok())
-            .unwrap_or(1),
-    );
-    let limits = parse_limits(&args);
+    // Every numeric input is validated before any work starts: a typo
+    // must not silently run the default configuration.
+    let scale: usize = or_exit_usage(BIN, numeric_flag(&args, "--scale", None)).unwrap_or(1);
+    let bits: usize = or_exit_usage(BIN, numeric_flag(&args, "--bits", None)).unwrap_or(3);
+    let jobs: usize =
+        or_exit_usage(BIN, numeric_flag(&args, "--jobs", Some("GETAFIX_JOBS"))).unwrap_or(1);
+    let jobs = resolve_jobs(jobs);
+    let max_ratio: f64 =
+        or_exit_usage(BIN, numeric_flag(&args, "--max-wall-regress", None)).unwrap_or(1.25);
+    if !max_ratio.is_finite() || max_ratio <= 0.0 {
+        or_exit_usage::<()>(BIN, Err("--max-wall-regress: the ratio must be positive".into()));
+    }
+    let limits = or_exit_usage(BIN, parse_limits(&args));
 
     // Kernel microbenches first: they are fast, self-contained and make a
     // kernel regression visible even when a later (solver-level) group
@@ -576,8 +586,6 @@ fn main() {
         doc.push('\n');
         std::fs::write(&compare_out, doc).unwrap_or_else(|e| panic!("{compare_out}: {e}"));
         eprintln!("wrote {compare_out}");
-        let max_ratio: f64 =
-            flag_value(&args, "--max-wall-regress").and_then(|s| s.parse().ok()).unwrap_or(1.25);
         cmp.gate(max_ratio).unwrap_or_else(|e| panic!("{e}"));
     }
 

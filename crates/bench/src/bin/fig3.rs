@@ -9,33 +9,23 @@
 //! `--jobs N` (default 1; env fallback `GETAFIX_JOBS`; 0 = all cores)
 //! fans the independent switch-bound solves of each configuration across
 //! a worker pool — every bound owns a private BDD manager, so the table
-//! is identical at any job count, only faster.
+//! is identical at any job count, only faster. A malformed `--max-k`,
+//! `--jobs` or `GETAFIX_JOBS` exits 2.
 
-use getafix_bench::run_fig3_config_jobs;
+use getafix_bench::{numeric_flag, or_exit_usage, run_fig3_config};
 use getafix_workloads::FIGURE3_CONFIGS;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let max_k: usize = args
-        .iter()
-        .position(|a| a == "--max-k")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(6);
-    let jobs: usize = args
-        .iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .or_else(|| std::env::var("GETAFIX_JOBS").ok())
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(1);
+    let max_k: usize = or_exit_usage("fig3", numeric_flag(&args, "--max-k", None)).unwrap_or(6);
+    let jobs: usize =
+        or_exit_usage("fig3", numeric_flag(&args, "--jobs", Some("GETAFIX_JOBS"))).unwrap_or(1);
 
     println!("Figure 3 — Bluetooth driver, bounded context-switching reachability\n");
     println!("{:<9} {:<10} {:<14} {:<10} Time", "Context", "Reachable", "Reach set", "BDD");
     println!("{:<9} {:<10} {:<14} {:<10}", "switches", "", "size", "nodes");
     for &(name, adders, stoppers) in &FIGURE3_CONFIGS {
-        let (merged, rows) = run_fig3_config_jobs(adders, stoppers, max_k, jobs);
+        let (merged, rows) = run_fig3_config(adders, stoppers, max_k, jobs);
         let locals: usize = merged.cfg.procs.iter().map(|p| p.n_locals()).sum();
         println!(
             "\n{} processes: {name}\n({} local variables and {} shared variables)",

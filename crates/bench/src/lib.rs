@@ -4,6 +4,7 @@
 
 pub mod bdd_kernel;
 pub mod compare;
+pub mod parallel;
 
 use getafix_bebop::bebop_reachable;
 use getafix_boolprog::{Cfg, Pc, Program};
@@ -12,7 +13,47 @@ use getafix_core::{check_reachability, check_reachability_with, Algorithm};
 use getafix_mucalc::{SolveOptions, Strategy};
 use getafix_pds::{poststar, prestar};
 use getafix_workloads as workloads;
+use std::fmt::Display;
+use std::str::FromStr;
 use std::time::Duration;
+
+/// Reads the numeric flag `name` strictly: the value after the flag when
+/// it is present, else the environment variable `env` (when given and
+/// set), else `None` — the caller's default. A flag with no value (end of
+/// the arguments, or another `--flag` in its place) and a value that does
+/// not parse as `T` are errors, never a silent fall-back to the default.
+///
+/// # Errors
+///
+/// A message naming the flag or variable and the offending value; the
+/// report binaries print it and exit with status 2.
+pub fn numeric_flag<T>(args: &[String], name: &str, env: Option<&str>) -> Result<Option<T>, String>
+where
+    T: FromStr,
+    T::Err: Display,
+{
+    let (source, raw) = match args.iter().position(|a| a == name) {
+        Some(i) => match args.get(i + 1) {
+            Some(v) if !v.starts_with("--") => (name, v.clone()),
+            _ => return Err(format!("{name} needs a value")),
+        },
+        None => match env.and_then(|var| std::env::var(var).ok().map(|v| (var, v))) {
+            Some(found) => found,
+            None => return Ok(None),
+        },
+    };
+    raw.trim().parse().map(Some).map_err(|e| format!("{source}: `{raw}`: {e}"))
+}
+
+/// Unwraps a [`numeric_flag`] result in a report binary's `main`: on an
+/// error, prints it prefixed with the binary's name and exits with
+/// status 2 (a usage error, distinct from a benchmark failure).
+pub fn or_exit_usage<T>(bin: &str, parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("{bin}: {e}");
+        std::process::exit(2)
+    })
+}
 
 /// One Figure 2 row (possibly aggregated over a sub-suite).
 #[derive(Debug, Clone, Default)]
@@ -278,25 +319,17 @@ pub struct Fig3Row {
     pub time: Duration,
 }
 
-/// Runs one Bluetooth configuration across `1..=max_k` switches.
+/// Runs one Bluetooth configuration across `1..=max_k` switches, with
+/// the independent per-threshold solves fanned out across `jobs` workers
+/// (0 = all available parallelism). Each switch bound builds its own
+/// solver and BDD manager, so the solves share nothing and the
+/// verdict/tuple/node columns are identical at any job count — only the
+/// `time` column and total wall change.
 ///
 /// # Panics
 ///
 /// Panics on engine errors.
-pub fn run_fig3_config(adders: usize, stoppers: usize, max_k: usize) -> (Merged, Vec<Fig3Row>) {
-    run_fig3_config_jobs(adders, stoppers, max_k, 1)
-}
-
-/// [`run_fig3_config`] with the independent per-threshold solves fanned
-/// out across `jobs` workers (0 = all available parallelism). Each switch
-/// bound builds its own solver and BDD manager, so the solves share
-/// nothing and the verdict/tuple/node columns are identical at any job
-/// count — only the `time` column and total wall change.
-///
-/// # Panics
-///
-/// Panics on engine errors.
-pub fn run_fig3_config_jobs(
+pub fn run_fig3_config(
     adders: usize,
     stoppers: usize,
     max_k: usize,
@@ -307,7 +340,7 @@ pub fn run_fig3_config_jobs(
     let targets: Vec<Pc> = (0..adders)
         .map(|i| merged.cfg.label(&workloads::adder_err_label(i)).expect("ERR label"))
         .collect();
-    let rows = getafix_mucalc::parallel_map(jobs, (1..=max_k).collect(), |_, k| {
+    let rows = parallel::parallel_map(jobs, (1..=max_k).collect(), |_, k| {
         let r = check_merged(&merged, &targets, k).unwrap_or_else(|e| panic!("k={k}: {e}"));
         Fig3Row {
             switches: k,
@@ -318,4 +351,46 @@ pub fn run_fig3_config_jobs(
         }
     });
     (merged, rows)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::numeric_flag;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn numeric_flag_is_strict() {
+        let ok = args(&["--scale", "2", "--bits", "4"]);
+        assert_eq!(numeric_flag::<usize>(&ok, "--scale", None), Ok(Some(2)));
+        assert_eq!(numeric_flag::<usize>(&ok, "--jobs", None), Ok(None));
+        // Malformed, missing, and another flag in the value's place.
+        assert!(numeric_flag::<usize>(&args(&["--scale", "two"]), "--scale", None).is_err());
+        assert!(numeric_flag::<usize>(&args(&["--scale"]), "--scale", None).is_err());
+        assert!(numeric_flag::<usize>(&args(&["--scale", "--bits", "3"]), "--scale", None).is_err());
+        assert!(numeric_flag::<f64>(
+            &args(&["--max-wall-regress", "1.2x"]),
+            "--max-wall-regress",
+            None
+        )
+        .is_err());
+    }
+
+    #[test]
+    fn numeric_flag_falls_back_to_a_strictly_parsed_environment_variable() {
+        const VAR: &str = "GETAFIX_BENCH_NUMERIC_FLAG_TEST";
+        std::env::set_var(VAR, " 3 ");
+        assert_eq!(numeric_flag::<usize>(&[], "--jobs", Some(VAR)), Ok(Some(3)));
+        // The flag wins over the variable.
+        assert_eq!(
+            numeric_flag::<usize>(&args(&["--jobs", "5"]), "--jobs", Some(VAR)),
+            Ok(Some(5))
+        );
+        std::env::set_var(VAR, "many");
+        let err = numeric_flag::<usize>(&[], "--jobs", Some(VAR)).unwrap_err();
+        assert!(err.starts_with(VAR), "{err}");
+        std::env::remove_var(VAR);
+    }
 }

@@ -1,49 +1,52 @@
-//! 1-vs-N determinism for the concurrent (§5) engine: the bounded
-//! context-switch solve must be observably identical at any job count —
-//! verdict, `Reach` model set, per-relation re-evaluation counts, and the
-//! strong cross-manager check (the parallel run's `Reach` BDD imported
-//! into the sequential manager must land on the sequential handle).
-//!
-//! The concurrent system is where the pool earns its keep: one stratum
-//! per switch round, with the per-round relations fanning out across
-//! workers — so this suite exercises multi-wave schedules the sequential
-//! core corpus cannot.
+//! 1-vs-N determinism for the concurrent (§5) engine at the granularity the
+//! report binaries parallelise: whole solves. `fig3 --jobs N` and
+//! `bench_report --jobs N` run independent bounded context-switch solves on
+//! separate threads, each with its own solver and BDD manager. That is only
+//! sound if a solve shares no state with its neighbours, so here the same
+//! solve runs once on the calling thread and then on several threads at
+//! once, and every concurrent run must be observably identical to the
+//! sequential one — verdict, `Reach` model set and per-relation
+//! re-evaluation counts.
 
 use getafix_boolprog::{parse_concurrent, Pc};
 use getafix_conc::{build_conc_solver_with, check_conc_solver, merge, Merged};
-use getafix_mucalc::{Bdd, SolveOptions, Solver, Strategy};
+use getafix_mucalc::{SolveOptions, Strategy};
 use std::collections::BTreeMap;
 
-/// Solves `merged` at the switch bound with the given job count; returns
-/// (verdict, Reach model list, per-relation re-eval counts, Reach handle,
-/// the solver — kept alive so its manager can export/import).
-fn run(
-    merged: &Merged,
-    targets: &[Pc],
-    switches: usize,
-    jobs: usize,
-) -> (bool, Vec<Vec<bool>>, BTreeMap<String, usize>, Bdd, Solver) {
-    let options = SolveOptions { jobs, ..SolveOptions::with_strategy(Strategy::Worklist) };
+/// How many solves run at once in the concurrent half of each check.
+const THREADS: usize = 4;
+
+/// What one solve lets an observer see.
+#[derive(Debug, PartialEq, Eq)]
+struct Observed {
+    verdict: bool,
+    reach: Vec<Vec<bool>>,
+    reevaluations: BTreeMap<String, usize>,
+}
+
+/// Builds and solves `merged` at the switch bound on the current thread.
+fn run(merged: &Merged, targets: &[Pc], switches: usize) -> Observed {
+    let options = SolveOptions::with_strategy(Strategy::Worklist);
     let mut solver = build_conc_solver_with(merged, targets, switches, options)
-        .unwrap_or_else(|e| panic!("jobs={jobs}: {e}"));
+        .unwrap_or_else(|e| panic!("k={switches}: {e}"));
     let verdict = check_conc_solver(&mut solver, switches)
-        .unwrap_or_else(|e| panic!("jobs={jobs}: {e}"))
+        .unwrap_or_else(|e| panic!("k={switches}: {e}"))
         .reachable;
-    let interp = solver.evaluate("Reach").unwrap_or_else(|e| panic!("jobs={jobs}: {e}"));
+    let interp = solver.evaluate("Reach").unwrap_or_else(|e| panic!("k={switches}: {e}"));
     let nparams = solver.system().relation("Reach").expect("Reach").params.len();
     let mut vars = Vec::new();
     for i in 0..nparams {
         vars.extend(solver.alloc().formal("Reach", i).all_vars());
     }
-    let models = solver.manager().all_models(interp, &vars);
-    let counts: BTreeMap<String, usize> =
+    let reach = solver.manager().all_models(interp, &vars);
+    let reevaluations =
         solver.stats().relations.iter().map(|(n, r)| (n.clone(), r.reevaluations)).collect();
-    (verdict, models, counts, interp, solver)
+    Observed { verdict, reach, reevaluations }
 }
 
 /// Asserts the 1-vs-N contract for one program at switch bounds
 /// `1..=max_k`, with `expect` the verdict at `max_k`.
-fn jobs_agree(src: &str, labels: &[&str], max_k: usize, expect: bool) {
+fn threads_agree(src: &str, labels: &[&str], max_k: usize, expect: bool) {
     let conc = parse_concurrent(src).unwrap_or_else(|e| panic!("parse: {e}\n{src}"));
     let merged = merge(&conc).unwrap_or_else(|e| panic!("merge: {e}"));
     let targets: Vec<Pc> = labels
@@ -51,23 +54,24 @@ fn jobs_agree(src: &str, labels: &[&str], max_k: usize, expect: bool) {
         .map(|l| merged.cfg.label(l).unwrap_or_else(|| panic!("no label {l}")))
         .collect();
     for k in 1..=max_k {
-        let (v1, set1, counts1, interp1, mut seq) = run(&merged, &targets, k, 1);
+        let sequential = run(&merged, &targets, k);
         if k == max_k {
-            assert_eq!(v1, expect, "k={k}: sequential verdict vs expectation\n{src}");
+            assert_eq!(sequential.verdict, expect, "k={k}: verdict vs expectation\n{src}");
         }
-        for jobs in [2usize, 4] {
-            let (v, set, counts, interp, par) = run(&merged, &targets, k, jobs);
-            assert_eq!(v, v1, "k={k} jobs={jobs}: verdict diverged\n{src}");
-            assert_eq!(set, set1, "k={k} jobs={jobs}: Reach set diverged\n{src}");
+        let concurrent: Vec<Observed> = std::thread::scope(|s| {
+            let handles: Vec<_> =
+                (0..THREADS).map(|_| s.spawn(|| run(&merged, &targets, k))).collect();
+            handles.into_iter().map(|h| h.join().expect("solve thread panicked")).collect()
+        });
+        for (t, got) in concurrent.iter().enumerate() {
             assert_eq!(
-                counts, counts1,
-                "k={k} jobs={jobs}: per-relation re-evaluation counts diverged\n{src}"
+                got.verdict, sequential.verdict,
+                "k={k} thread={t}: verdict diverged\n{src}"
             );
-            let pkg = par.manager_ref().export(&[interp]);
-            let moved = seq.manager().import(&pkg);
+            assert_eq!(got.reach, sequential.reach, "k={k} thread={t}: Reach set diverged\n{src}");
             assert_eq!(
-                moved[0], interp1,
-                "k={k} jobs={jobs}: imported Reach is a different function\n{src}"
+                got.reevaluations, sequential.reevaluations,
+                "k={k} thread={t}: per-relation re-evaluation counts diverged\n{src}"
             );
         }
     }
@@ -75,7 +79,7 @@ fn jobs_agree(src: &str, labels: &[&str], max_k: usize, expect: bool) {
 
 #[test]
 fn handshake() {
-    jobs_agree(
+    threads_agree(
         r#"
         shared flag;
         thread
@@ -97,10 +101,10 @@ fn handshake() {
 
 #[test]
 fn ping_pong_threshold() {
-    // Reachable only at k >= 3; the suite crosses the threshold so both
-    // full-fixpoint (negative) and early-exit (positive) rounds are
-    // compared across job counts.
-    jobs_agree(
+    // Reachable only at k >= 3; the sweep crosses the threshold so both
+    // full-fixpoint (negative) and early-exit (positive) bounds are
+    // compared between the sequential and the concurrent runs.
+    threads_agree(
         r#"
         shared a, b, c;
         thread
@@ -127,43 +131,8 @@ fn ping_pong_threshold() {
 }
 
 #[test]
-fn three_threads_with_procedures() {
-    jobs_agree(
-        r#"
-        shared a, b;
-        thread
-          main() begin
-            decl r;
-            r := get();
-            if (r & b) then HIT: skip; fi;
-          end
-          get() returns 1 begin
-            return a;
-          end
-        endthread
-        thread
-          main() begin
-            call set();
-          end
-          set() begin
-            a := T;
-          end
-        endthread
-        thread
-          main() begin
-            if (a) then b := T; fi;
-          end
-        endthread
-        "#,
-        &["t0__HIT"],
-        3,
-        true,
-    );
-}
-
-#[test]
 fn unreachable_regardless_of_switches() {
-    jobs_agree(
+    threads_agree(
         r#"
         shared a, b;
         thread
@@ -181,123 +150,4 @@ fn unreachable_regardless_of_switches() {
         3,
         false,
     );
-}
-
-// ---------------------------------------------------------------------------
-// Seeded random concurrent corpus.
-// ---------------------------------------------------------------------------
-
-/// Deterministic xorshift; no dependence on rand's stability guarantees.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
-
-fn rand_expr(rng: &mut Rng, vars: &[&str], depth: usize) -> String {
-    if depth == 0 || rng.below(3) == 0 {
-        return match rng.below(4) {
-            0 => "T".to_string(),
-            1 => "F".to_string(),
-            2 => "*".to_string(),
-            _ => vars[rng.below(vars.len() as u64) as usize].to_string(),
-        };
-    }
-    match rng.below(3) {
-        0 => format!("!({})", rand_expr(rng, vars, depth - 1)),
-        1 => format!("({} & {})", rand_expr(rng, vars, depth - 1), rand_expr(rng, vars, depth - 1)),
-        _ => format!("({} | {})", rand_expr(rng, vars, depth - 1), rand_expr(rng, vars, depth - 1)),
-    }
-}
-
-fn rand_thread_body(rng: &mut Rng, shared: &[&str]) -> String {
-    let mut out = String::new();
-    let n = 2 + rng.below(3);
-    for _ in 0..n {
-        match rng.below(3) {
-            0 => {
-                let v = shared[rng.below(shared.len() as u64) as usize];
-                out.push_str(&format!("{v} := {};\n", rand_expr(rng, shared, 2)));
-            }
-            1 => {
-                let v = shared[rng.below(shared.len() as u64) as usize];
-                out.push_str(&format!(
-                    "if ({}) then {v} := {}; fi;\n",
-                    rand_expr(rng, shared, 1),
-                    rand_expr(rng, shared, 1)
-                ));
-            }
-            _ => {
-                out.push_str(&format!(
-                    "while ({} & *) do {} := {}; od;\n",
-                    rand_expr(rng, shared, 1),
-                    shared[rng.below(shared.len() as u64) as usize],
-                    rand_expr(rng, shared, 1)
-                ));
-            }
-        }
-    }
-    out
-}
-
-#[test]
-fn randomized_programs_deterministic_across_job_counts() {
-    // Verdicts here are whatever the sequential solver says — the suite
-    // asserts agreement *between job counts*, not against an oracle (the
-    // plain differential suite owns that).
-    for seed in 1..=6u64 {
-        let mut rng = Rng(seed.wrapping_mul(0x9E3779B97F4A7C15) | 1);
-        let shared = ["a", "b", "c"];
-        let t0_body = rand_thread_body(&mut rng, &shared);
-        let t1_body = rand_thread_body(&mut rng, &shared);
-        let guard = rand_expr(&mut rng, &shared, 2);
-        let src = format!(
-            r#"
-            shared a, b, c;
-            thread
-              main() begin
-                {t0_body}
-                if ({guard}) then HIT: skip; fi;
-              end
-            endthread
-            thread
-              main() begin
-                {t1_body}
-              end
-            endthread
-            "#
-        );
-        let conc = parse_concurrent(&src).unwrap_or_else(|e| panic!("parse: {e}\n{src}"));
-        let merged = merge(&conc).unwrap_or_else(|e| panic!("merge: {e}"));
-        let targets = vec![merged.cfg.label("t0__HIT").expect("t0__HIT")];
-        for k in 1..=2usize {
-            let (v1, set1, counts1, interp1, mut seq) = run(&merged, &targets, k, 1);
-            for jobs in [2usize, 4] {
-                let (v, set, counts, interp, par) = run(&merged, &targets, k, jobs);
-                assert_eq!(v, v1, "seed={seed} k={k} jobs={jobs}: verdict diverged\n{src}");
-                assert_eq!(set, set1, "seed={seed} k={k} jobs={jobs}: Reach set diverged\n{src}");
-                assert_eq!(
-                    counts, counts1,
-                    "seed={seed} k={k} jobs={jobs}: re-eval counts diverged\n{src}"
-                );
-                let pkg = par.manager_ref().export(&[interp]);
-                let moved = seq.manager().import(&pkg);
-                assert_eq!(
-                    moved[0], interp1,
-                    "seed={seed} k={k} jobs={jobs}: imported Reach diverged\n{src}"
-                );
-            }
-        }
-    }
 }

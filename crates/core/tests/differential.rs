@@ -34,7 +34,9 @@ fn run_strategy(
     (verdict, models, solver.stats().total_reevaluations())
 }
 
-fn verdicts_agree(src: &str, label: &str) {
+/// Checks every algorithm under both strategies against the oracle and
+/// returns the oracle's verdict, so a test can also pin it.
+fn verdicts_agree(src: &str, label: &str) -> bool {
     let program = parse_program(src).unwrap_or_else(|e| panic!("parse: {e}\n{src}"));
     let cfg = Cfg::build(&program).unwrap_or_else(|e| panic!("build: {e}\n{src}"));
     let target = cfg.label(label).unwrap_or_else(|| panic!("no label {label}"));
@@ -54,6 +56,7 @@ fn verdicts_agree(src: &str, label: &str) {
             "{algo}: worklist re-evaluated more ({wl_work} > {rr_work})\n{src}"
         );
     }
+    oracle
 }
 
 #[test]
@@ -372,6 +375,85 @@ fn mutual_recursion() {
         "#,
         "HIT",
     );
+}
+
+#[test]
+fn independent_procedures() {
+    // Four call-independent procedures: four summary strata that read
+    // none of each other, each feeding the next call's argument.
+    let reachable = verdicts_agree(
+        r#"
+        decl g0, g1;
+        main() begin
+          decl a, b, c, d;
+          a := f0(T);
+          b := f1(a);
+          c := f2(b);
+          d := f3(c);
+          if (d & g0 & !g1) then HIT: skip; fi;
+        end
+        f0(x) returns 1 begin g0 := x; return !x; end
+        f1(x) returns 1 begin if (*) then g1 := x; fi; return x | g0; end
+        f2(x) returns 1 begin return x = g1; end
+        f3(x) returns 1 begin g0 := g0 | x; return !x; end
+        "#,
+        "HIT",
+    );
+    assert!(reachable);
+}
+
+#[test]
+fn recursive_and_mutually_recursive_strata() {
+    // A mutually recursive pair next to a self-recursive toggle.
+    let reachable = verdicts_agree(
+        r#"
+        decl g;
+        main() begin
+          call even();
+          call rec();
+          if (g) then HIT: skip; fi;
+        end
+        even() begin
+          if (*) then call odd(); fi;
+        end
+        odd() begin
+          if (*) then call even(); fi;
+        end
+        rec() begin
+          if (*) then
+            g := !g;
+            call rec();
+          fi;
+        end
+        "#,
+        "HIT",
+    );
+    assert!(reachable);
+}
+
+#[test]
+fn negative_verdict_full_fixpoint() {
+    // Unreachable target: no early exit, every fixpoint runs to the end.
+    let reachable = verdicts_agree(
+        r#"
+        decl g, h;
+        main() begin
+          g := F;
+          h := F;
+          call walk();
+          if (g & h) then HIT: skip; fi;
+        end
+        walk() begin
+          if (*) then
+            g := T;
+            h := !g;
+            call walk();
+          fi;
+        end
+        "#,
+        "HIT",
+    );
+    assert!(!reachable);
 }
 
 #[test]

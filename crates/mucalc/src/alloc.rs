@@ -91,8 +91,8 @@ pub struct Allocation {
     scratch: BTreeMap<String, Vec<Vec<Var>>>,
     /// Per-instance domain constraints, built eagerly in [`Allocation::build`]
     /// and rebuilt (via `&mut self`) after a manager GC. Plain owned data —
-    /// no interior mutability — so the allocation is `Send` and a worker
-    /// thread can own a solver outright.
+    /// no interior mutability — so the allocation is `Send` and a solver
+    /// can be built and run on any thread.
     domains: Vec<Bdd>,
 }
 

@@ -15,7 +15,10 @@
 //!   `worklist.rs`/`deps.rs`) and the paper's `Evaluate(R, Eq)`
 //!   operational semantics (§3) as the **round-robin** reference, which
 //!   also gives meaning to **non-monotone** systems such as the optimized
-//!   entry-forward algorithm (§4.3);
+//!   entry-forward algorithm (§4.3). A solve runs on the calling thread:
+//!   every system the paper's encodings build is a chain of SCCs, so
+//!   there is no independent work inside one solve to overlap, and batch
+//!   callers parallelize across whole solvers instead;
 //! * a MUCKE-flavoured concrete syntax: [`parse_system`] and a
 //!   pretty-printer that round-trips with it.
 //!
@@ -66,7 +69,6 @@ mod ast;
 mod compile;
 mod deps;
 mod limits;
-mod parallel;
 mod parse;
 mod pretty;
 mod provenance;
@@ -79,10 +81,7 @@ mod worklist;
 pub use alloc::{eq_const, eq_vars, lt_const, lt_vars, Allocation, Instance, LeafAlloc};
 pub use ast::{CmpOp, Formula, Term};
 pub use deps::{DepGraph, OrderedPlan, Scc};
-#[doc(hidden)]
-pub use limits::FaultInjection;
 pub use limits::{install_sigint_cancel, CancelToken, LimitKind, LimitReport, ResourceLimits};
-pub use parallel::{parallel_map, resolve_jobs, ParallelPlan};
 pub use parse::{parse_system, ParseError};
 pub use provenance::Provenance;
 pub use solve::{
